@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/atomic_file.h"
@@ -51,8 +52,11 @@ inline double wall_now() {
 
 /// Writes the BENCH_*.json document crash-safely (the CI gate diffs these
 /// against committed baselines -- a torn artifact must be impossible).
-/// Layout:
-///   {"tool": ..., "schema": 1, "peak_rss_kb": ...,
+/// `hardware_concurrency` records the measuring host's
+/// std::thread::hardware_concurrency(), so a committed record carries the
+/// core count its numbers were taken on. Layout:
+///   {"tool": ..., "schema": 1, "hardware_concurrency": ...,
+///    "peak_rss_kb": ...,
 ///    "results": [{"name": ..., "events": ..., "wall_s": ...,
 ///                 "events_per_sec": ..., "ns_per_event": ..., ...}, ...]}
 inline void write_bench_json(const std::string& path, const std::string& tool,
@@ -64,6 +68,8 @@ inline void write_bench_json(const std::string& path, const std::string& tool,
     out += buf;
   };
   append("{\n  \"tool\": \"%s\",\n  \"schema\": 1,\n", tool.c_str());
+  append("  \"hardware_concurrency\": %u,\n",
+         std::thread::hardware_concurrency());
   append("  \"peak_rss_kb\": %ld,\n  \"results\": [", peak_rss_kb());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];

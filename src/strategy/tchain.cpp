@@ -1,6 +1,7 @@
 #include "strategy/tchain.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -63,10 +64,42 @@ bool TChainStrategy::can_deliver(const sim::Swarm& swarm, sim::PeerId target,
   return accepts_delivery(swarm, target);
 }
 
+void TChainStrategy::scan_admissible(const sim::Swarm& swarm,
+                                     sim::PeerId uploader) {
+  scratch_.admissible.clear();
+  const sim::NeighborRange nbrs = swarm.peer(uploader).neighbors();
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    const sim::ConstPeer q = swarm.peer(nbrs[i]);
+    if (q.active() && !q.is_seeder() && accepts_delivery(swarm, nbrs[i])) {
+      scratch_.admissible.push_back({nbrs[i], static_cast<std::uint32_t>(i)});
+    }
+  }
+  scratch_.scanned = true;
+}
+
+void TChainStrategy::collect_needy(sim::Swarm& swarm, sim::PeerId uploader,
+                                   bool include_locked_offer) {
+  scratch_.needy.clear();
+  for (const Admissible& a : scratch_.admissible) {
+    if (swarm.accepts_incoming(a.id) &&
+        swarm.neighbor_needs_from(uploader, a.index, include_locked_offer)) {
+      scratch_.needy.push_back(a.id);
+    }
+  }
+#ifndef NDEBUG
+  // Oracle: the list derived from the admission pass must equal the
+  // swarm's own active -> incoming -> interest -> admission scan.
+  assert(scratch_.needy == swarm.needy_neighbors(uploader,
+                                                 include_locked_offer) &&
+         "TChainStrategy: fused needy list diverged from needy_neighbors");
+#endif
+}
+
 std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
     sim::Swarm& swarm, sim::PeerId p, const Obligation& ob) {
   // Preferred: the designator's suggestion (direct reciprocity when the
-  // suggestion is the designator itself).
+  // suggestion is the designator itself). The suggestion need not be one
+  // of p's neighbors, so it is probed on its own.
   if (ob.suggested_target != sim::kNoPeer && ob.suggested_target != p) {
     if (ob.suggested_target == ob.designator) {
       // Direct reciprocity repays with any piece the designator needs.
@@ -82,23 +115,29 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
                                /*locked=*/true};
     }
   }
-  // Any neighbor that needs the received piece.
-  const sim::Peer up = swarm.peer(p);
-  std::vector<sim::PeerId> candidates;
-  for (sim::PeerId n : up.neighbors()) {
-    if (n != ob.designator && can_deliver(swarm, n, ob.piece)) {
-      candidates.push_back(n);
+  if (!scratch_.scanned) scan_admissible(swarm, p);
+  // Any admissible neighbor that needs the received piece.
+  scratch_.candidates.clear();
+  for (const Admissible& a : scratch_.admissible) {
+    if (a.id != ob.designator &&
+        !swarm.peer(a.id).unavailable().test(ob.piece)) {
+      scratch_.candidates.push_back(a.id);
     }
   }
-  if (!candidates.empty()) {
-    const sim::PeerId to =
-        candidates[swarm.rng().uniform_u64(candidates.size())];
+  if (!scratch_.candidates.empty()) {
+    const sim::PeerId to = scratch_.candidates[swarm.rng().uniform_u64(
+        scratch_.candidates.size())];
     return sim::UploadAction{to, ob.piece, /*locked=*/true};
   }
   // Generalized reciprocation: any transferable piece to any needy
   // neighbor ("users can reciprocate uploads by uploading a piece to any
-  // user", Section III-A).
-  auto needy = swarm.needy_neighbors(p, /*include_locked_offer=*/true);
+  // user", Section III-A). The list does not depend on the obligation, so
+  // it is built once per call and reused by later obligations.
+  if (!scratch_.lane1_ready) {
+    collect_needy(swarm, p, /*include_locked_offer=*/true);
+    scratch_.lane1_ready = true;
+  }
+  const std::vector<sim::PeerId>& needy = scratch_.needy;
   if (!needy.empty()) {
     const sim::PeerId to = needy[swarm.rng().uniform_u64(needy.size())];
     const sim::PieceId piece =
@@ -113,6 +152,8 @@ std::optional<sim::UploadAction> TChainStrategy::plan_obligation(
 std::optional<sim::UploadAction> TChainStrategy::next_upload(
     sim::Swarm& swarm, sim::PeerId uploader) {
   pending_plan_ = PendingPlan{};
+  scratch_.scanned = false;
+  scratch_.lane1_ready = false;
   auto it = state_.find(uploader);
   if (it != state_.end()) {
     // 1. Discharge the oldest feasible obligation.
@@ -124,7 +165,9 @@ std::optional<sim::UploadAction> TChainStrategy::next_upload(
     }
   }
   // 2. Opportunistic seeding: initiate a fresh chain from usable pieces.
-  auto needy = swarm.needy_neighbors(uploader, /*include_locked_offer=*/false);
+  if (!scratch_.scanned) scan_admissible(swarm, uploader);
+  collect_needy(swarm, uploader, /*include_locked_offer=*/false);
+  const std::vector<sim::PeerId>& needy = scratch_.needy;
   if (needy.empty()) return std::nullopt;
   const sim::PeerId to = needy[swarm.rng().uniform_u64(needy.size())];
   const sim::PieceId piece = swarm.pick_piece(uploader, to);
@@ -228,7 +271,8 @@ void TChainStrategy::on_delivered(sim::Swarm& swarm, const sim::Transfer& t) {
       swarm.needs_from(t.from, t.to, /*include_locked_offer=*/true)) {
     suggested = t.from;
   } else {
-    std::vector<sim::PeerId> pool;
+    std::vector<sim::PeerId>& pool = scratch_.pool;
+    pool.clear();
     for (sim::PeerId n : swarm.peer(t.from).neighbors()) {
       if (n == t.to || n == t.from) continue;
       const sim::Peer q = swarm.peer(n);

@@ -58,6 +58,7 @@ class TChainStrategy final : public sim::ExchangeStrategy {
   // Serializes every mutable member: the per-peer obligation queues and
   // in-flight duties, the dense backlog mirror, the chain-link ledger and
   // its downstream index, the attach-derived limits, and the staged plan.
+  // The planning scratch is not state (each next_upload call rebuilds it).
   // Timer sub 0 is the grace scan.
   void checkpoint_save(util::ByteSink& sink) const override;
   void checkpoint_load(util::ByteSource& src, const sim::Swarm& swarm) override;
@@ -101,12 +102,27 @@ class TChainStrategy final : public sim::ExchangeStrategy {
     return (static_cast<std::uint64_t>(peer) << 32) | piece;
   }
 
+  /// A neighbor of the planning uploader that passed admission, with its
+  /// position in the uploader's neighbor list (the interest-memo index).
+  struct Admissible {
+    sim::PeerId id = sim::kNoPeer;
+    std::uint32_t index = 0;
+  };
+
   /// Plans the upload that would discharge `ob` for peer `p`, if any.
   std::optional<sim::UploadAction> plan_obligation(sim::Swarm& swarm,
                                                    sim::PeerId p,
                                                    const Obligation& ob);
   bool can_deliver(const sim::Swarm& swarm, sim::PeerId target,
                    sim::PieceId piece) const;
+  /// The call's one admission pass: fills scratch_.admissible with the
+  /// uploader's active, non-seeder neighbors that accept a delivery.
+  void scan_admissible(const sim::Swarm& swarm, sim::PeerId uploader);
+  /// Fills scratch_.needy with the admissible neighbors that accept an
+  /// incoming transfer and need a piece from the offer lane -- exactly
+  /// Swarm::needy_neighbors(uploader, include_locked_offer).
+  void collect_needy(sim::Swarm& swarm, sim::PeerId uploader,
+                     bool include_locked_offer);
   /// Marks the link for (receiver, piece) fulfilled and unlocks it if the
   /// sender already holds the key; cascades down the chain.
   void resolve_fulfilled(sim::Swarm& swarm, sim::PeerId receiver,
@@ -126,10 +142,10 @@ class TChainStrategy final : public sim::ExchangeStrategy {
   std::unordered_map<sim::PeerId, PeerState> state_;
   /// Dense mirror of obligations.size() + in_flight.size() per peer, sized
   /// by attach() and updated in step with every queue mutation. backlog()
-  /// is on the admission-control hot path (called once per candidate
-  /// neighbor per planning step) and reads this instead of hashing into
-  /// state_. Before attach() the vector is empty and backlog() falls back
-  /// to the map.
+  /// is on the admission-control hot path (called once per neighbor in each
+  /// planning call's admission pass, plus once per designated target) and
+  /// reads this instead of hashing into state_. Before attach() the vector
+  /// is empty and backlog() falls back to the map.
   std::vector<std::uint32_t> backlog_count_;
   std::unordered_map<std::uint64_t, ChainLink> links_;  // (receiver, piece)
   /// sender -> (receiver, piece) links awaiting that sender's key.
@@ -147,6 +163,17 @@ class TChainStrategy final : public sim::ExchangeStrategy {
     bool valid = false;
   };
   PendingPlan pending_plan_;
+  /// Planning scratch, reset by each next_upload call and kept only to
+  /// reuse its buffers: not state, never checkpointed.
+  struct PlanScratch {
+    bool scanned = false;      // `admissible` holds this call's pass
+    bool lane1_ready = false;  // `needy` holds the locked-offer lane
+    std::vector<Admissible> admissible;
+    std::vector<sim::PeerId> candidates;
+    std::vector<sim::PeerId> needy;
+    std::vector<sim::PeerId> pool;  // on_delivered's designation pool
+  };
+  PlanScratch scratch_;
 };
 
 }  // namespace coopnet::strategy

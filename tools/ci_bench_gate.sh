@@ -6,9 +6,12 @@
 # bench/baselines/. Three kinds of metric:
 #
 #   * machine-normalized: `speedup_vs_reference` (the indexed-heap engine
-#     vs the seed priority_queue engine, measured in the same process) and
-#     the per-workload event counts (which are deterministic and must be
-#     byte-equal). These gate in every mode.
+#     vs the seed priority_queue engine, measured in the same process),
+#     the T-Chain/BitTorrent ns_per_event ratio at N = 1000 (both cells of
+#     the same micro_swarm run, so runner speed cancels out; it fails when
+#     the ratio grows by >20% over the baseline's), and the per-workload
+#     event counts (which are deterministic and must be byte-equal). These
+#     gate in every mode.
 #   * absolute events/sec: meaningful only on hardware comparable to where
 #     the baseline was captured. Gated in `full` mode (local dev boxes);
 #     demoted to warnings in `ratio` mode (CI runners of unknown speed).
@@ -126,6 +129,15 @@ for tool in tools:
         check("events_per_sec", name,
               float(b["events_per_sec"]), float(r["events_per_sec"]),
               gate=(mode == "full"))
+    # Same-run cost ratio: a slower runner scales both cells alike, so a
+    # growing ratio means T-Chain's hot path regressed against BitTorrent's.
+    num, den = "T-Chain/n=1000", "BitTorrent/n=1000"
+    if tool == "swarm" and all(k in d for k in (num, den)
+                               for d in (base, fresh)):
+        ratio = lambda d: (float(d[num]["ns_per_event"]) /
+                           float(d[den]["ns_per_event"]))
+        check("ns_per_event ratio", f"{num} / {den}", ratio(base),
+              ratio(fresh), gate=True, worse_when_lower=False)
     # Peak RSS is per-process, so it only compares when this run measured
     # the baseline's full record set.
     if set(base) <= set(fresh):
