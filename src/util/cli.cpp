@@ -32,6 +32,15 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+void reject_threads_flag(const Cli& cli) {
+  if (cli.has("threads")) {
+    throw std::invalid_argument(
+        "--threads was removed: intra-run threading no longer exists and "
+        "every run executes sequentially; use --jobs J to run cells or "
+        "replications concurrently");
+  }
+}
+
 bool Cli::has(const std::string& name) const {
   return options_.count(name) != 0;
 }

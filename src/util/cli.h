@@ -55,4 +55,10 @@ class Cli {
   std::vector<std::string> positional_;
 };
 
+/// Throws std::invalid_argument when the removed `--threads` flag is
+/// present. Cli ignores unknown flags, so without this an old
+/// `--threads K` command line would run without a word; the message
+/// points to `--jobs`, the concurrency that remains.
+void reject_threads_flag(const Cli& cli);
+
 }  // namespace coopnet::util

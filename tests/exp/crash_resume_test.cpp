@@ -43,8 +43,10 @@ std::size_t cell_records(const std::string& journal_path) {
   return count;
 }
 
-// fork/exec coopnet_run with stdout/stderr discarded; returns the pid.
-pid_t spawn(const std::vector<std::string>& args) {
+// fork/exec coopnet_run with stdout discarded and stderr sent to
+// `stderr_path`; returns the pid.
+pid_t spawn(const std::vector<std::string>& args,
+            const std::string& stderr_path = "/dev/null") {
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
@@ -55,8 +57,13 @@ pid_t spawn(const std::vector<std::string>& args) {
     const int devnull = ::open("/dev/null", O_WRONLY);
     if (devnull >= 0) {
       ::dup2(devnull, STDOUT_FILENO);
-      ::dup2(devnull, STDERR_FILENO);
       ::close(devnull);
+    }
+    const int err =
+        ::open(stderr_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (err >= 0) {
+      ::dup2(err, STDERR_FILENO);
+      ::close(err);
     }
     ::execv(argv[0], argv.data());
     _exit(127);  // exec failed
@@ -64,8 +71,9 @@ pid_t spawn(const std::vector<std::string>& args) {
   return pid;
 }
 
-int run_and_wait(const std::vector<std::string>& args) {
-  const pid_t pid = spawn(args);
+int run_and_wait(const std::vector<std::string>& args,
+                 const std::string& stderr_path = "/dev/null") {
+  const pid_t pid = spawn(args, stderr_path);
   if (pid < 0) return -1;
   int status = 0;
   ::waitpid(pid, &status, 0);
@@ -157,6 +165,28 @@ TEST(CrashResume, SigtermDrainsFlushesJournalAndExits143) {
        {journal, json_out, ref_json, other_journal}) {
     std::remove(f.c_str());
   }
+  ::rmdir(dir.c_str());
+}
+
+// --threads was removed. Cli ignores unknown flags, so an old command
+// line must be rejected explicitly -- not run with the flag dropped --
+// and the error must point to --jobs, the concurrency that remains.
+TEST(CoopnetRunCli, RejectsTheRemovedThreadsFlagAndPointsToJobs) {
+  char tmpl[] = "/tmp/coopnet_threads_flag_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string err = dir + "/stderr.txt";
+
+  EXPECT_EQ(run_and_wait({COOPNET_RUN_BIN, "--algo", "BitTorrent", "--n",
+                          "20", "--threads", "4"},
+                         err),
+            1);
+  const std::string message = read_file(err);
+  EXPECT_NE(message.find("--threads was removed"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("--jobs"), std::string::npos) << message;
+
+  std::remove(err.c_str());
   ::rmdir(dir.c_str());
 }
 

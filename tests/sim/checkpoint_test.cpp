@@ -15,6 +15,7 @@
 #include "sim/auditor.h"
 #include "sim/swarm.h"
 #include "strategy/factory.h"
+#include "util/byteio.h"
 
 namespace coopnet::sim {
 namespace {
@@ -82,7 +83,7 @@ TEST(CheckpointContainer, DecodeRoundTripsEncode) {
         << "section id " << saved[i].id;
   }
   // Serialization is deterministic: the same state encodes to the same
-  // bytes (this is what makes snapshots canonical across --threads).
+  // bytes.
   EXPECT_EQ(encode_snapshot(config, saved), bytes);
 }
 
@@ -130,12 +131,25 @@ TEST(CheckpointContainer, RejectsASnapshotFromADifferentConfiguration) {
   SwarmConfig other_algo = config;
   other_algo.algorithm = core::Algorithm::kTChain;
   EXPECT_THROW(decode_snapshot(other_algo, bytes), CheckpointError);
+}
 
-  // --threads is explicitly excluded: a snapshot taken at K threads
-  // restores under any other K (results are byte-identical either way).
-  SwarmConfig other_threads = config;
-  other_threads.threads = 4;
-  EXPECT_NO_THROW(decode_snapshot(other_threads, bytes));
+// Format version 1 carried a per-event prepare hint in every queue
+// record; version 2 dropped it. The header's version field (after the
+// 8-byte magic) must turn an old file away before any section is parsed.
+TEST(CheckpointContainer, RejectsAVersionOneSnapshotAsIncompatible) {
+  const SwarmConfig config = tiny_config();
+  std::string bytes = mid_cell_snapshot(config);
+  util::ByteSink version;
+  version.put_u32(1);
+  bytes.replace(8, 4, version.take());
+  try {
+    decode_snapshot(config, bytes);
+    FAIL() << "a version-1 snapshot decoded";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("incompatible build"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointContainer, RestoreRequiresEverySwarmSection) {
