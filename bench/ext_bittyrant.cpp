@@ -9,9 +9,10 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
   auto base = bench::scenario_from_cli(cli);
   if (!cli.has("scale") && !cli.has("n")) {
     base.n_peers = 300;
@@ -68,4 +69,16 @@ int main(int argc, char** argv) {
       "nothing to save; altruism\nrewards not uploading at all (the "
       "strategic client is just a lazy peer).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const coopnet::util::Cli cli(argc, argv);
+  try {
+    return run(cli);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ext_bittyrant: %s\n", e.what());
+    return 1;
+  }
 }

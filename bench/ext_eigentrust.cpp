@@ -6,9 +6,10 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
   auto base = bench::scenario_from_cli(cli);
   if (!cli.has("scale") && !cli.has("n")) {
     base.n_peers = 300;
@@ -62,4 +63,16 @@ int main(int argc, char** argv) {
       "received service and\nanchored at the seeders), at comparable "
       "honest-swarm efficiency.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const coopnet::util::Cli cli(argc, argv);
+  try {
+    return run(cli);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ext_eigentrust: %s\n", e.what());
+    return 1;
+  }
 }

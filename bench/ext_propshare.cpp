@@ -8,9 +8,10 @@
 
 #include "bench_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const coopnet::util::Cli& cli) {
   using namespace coopnet;
-  const util::Cli cli(argc, argv);
   auto base = bench::scenario_from_cli(cli);
   if (!cli.has("scale") && !cli.has("n")) {
     base.n_peers = 300;  // mid scale by default; this is an ablation
@@ -73,4 +74,16 @@ int main(int argc, char** argv) {
       "while being\nat least as fair (proportional response) and leaking "
       "no more than the\nalpha_BT altruism budget to free-riders.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const coopnet::util::Cli cli(argc, argv);
+  try {
+    return run(cli);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ext_propshare: %s\n", e.what());
+    return 1;
+  }
 }

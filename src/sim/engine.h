@@ -1,22 +1,39 @@
 // Discrete-event simulation engine.
 //
-// An implicit 4-ary heap over a slab-allocated pool of SmallEventFn
-// callbacks. Ties break in scheduling order (seq); because (time, seq) is
-// a strict total order, every pop yields the global minimum, so pop order
-// is identical to the seed std::priority_queue implementation no matter
-// the heap layout -- sim/reference_engine.h keeps that implementation
-// in-tree as the differential-test oracle and the in-binary benchmark
-// baseline.
+// Pending events live in two kinds of sorted source, and every pop takes
+// the least (time, seq) among their heads:
+//
+//   * an implicit 4-ary heap over a slab-allocated pool of SmallEventFn
+//     callbacks, for irregular events: absolute schedule_at() times,
+//     restored checkpoint entries, and one-off or random delays;
+//   * a handful of FIFO lanes, each keyed by the exact bit pattern of a
+//     relative delay that recurs (tick and retry intervals, 1e-6 refills,
+//     per-capacity transfer durations, sampling and rechoke periods).
+//
+// Why a lane needs no sorting: for a fixed delay d, now() + d never
+// decreases as the clock advances, and seq strictly increases, so events
+// appended to one lane arrive in (time, seq) order and a push is an
+// append. Ties break in scheduling order (seq); because (time, seq) is a
+// strict total order, taking the minimum over sorted sources yields the
+// global minimum, so pop order is identical to the seed
+// std::priority_queue implementation no matter how events are split
+// between heap and lanes -- sim/reference_engine.h keeps that
+// implementation in-tree as the differential-test oracle and the
+// in-binary benchmark baseline.
 //
 // Why this shape: the hot loop is schedule/pop churn at millions of events
-// per run. The 4-ary heap halves tree depth versus a binary heap; the key
-// and payload halves of each entry live in parallel arrays (times_ /
+// per run. A run's bulk traffic repeats a few delays, so lanes turn its
+// pushes into appends and keep the heap small; what stays in the heap
+// pays a 4-ary sift, which halves tree depth versus a binary heap. The key
+// and payload halves of each heap entry live in parallel arrays (times_ /
 // meta_) so a sift-down level compares four adjacent doubles in one
 // 32-byte span instead of dragging seq+slot through the cache; callbacks
 // stay put in the pool slab (no std::function copy per pop, no malloc per
 // transfer-completion closure -- see event_fn.h).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -46,6 +63,8 @@ class SimEngine {
  public:
   using EventFn = SmallEventFn;
 
+  SimEngine();
+
   /// One queued event as seen by a checkpoint: its heap key (time, seq)
   /// and descriptive tag. The callback itself is NOT here -- restore
   /// rebuilds it from the tag via the scheduler's dispatcher.
@@ -58,10 +77,17 @@ class SimEngine {
   /// Current simulation time (seconds). Starts at 0.
   Seconds now() const { return now_; }
 
-  /// Schedules `fn` to run `delay` seconds from now. Requires delay >= 0.
+  /// Number of FIFO lanes (see the file comment). A delay takes a lane on
+  /// its second sighting while one is free or drained; everything else
+  /// goes to the heap, so the count bounds memory, never correctness.
+  static constexpr std::size_t kLanes = 8;
+
+  /// Schedules `fn` to run `delay` seconds from now. Requires a finite
+  /// delay >= 0 (and a finite now() + delay); throws
+  /// std::invalid_argument otherwise.
   void schedule(Seconds delay, EventFn fn);
 
-  /// Schedules `fn` at absolute time `at`. Requires at >= now().
+  /// Schedules `fn` at absolute time `at`. Requires a finite at >= now().
   void schedule_at(Seconds at, EventFn fn);
 
   /// Runs events until the queue is empty or stop() is called. Returns
@@ -83,8 +109,11 @@ class SimEngine {
   void reset_stop() { stopped_ = false; }
 
   bool stopped() const { return stopped_; }
-  /// Events currently queued in the heap (the in-flight event excluded).
-  std::size_t pending() const { return times_.size() - kRoot; }
+  /// Events currently queued, heap and lanes together (the in-flight
+  /// event excluded).
+  std::size_t pending() const { return times_.size() - kRoot + lane_pending_; }
+  /// The part of pending() that sits in lanes (observability and tests).
+  std::size_t lane_pending() const { return lane_pending_; }
   std::uint64_t events_processed() const { return processed_; }
 
   // --- cooperative supervision hooks (see exp/supervise.h) ---------------
@@ -132,15 +161,17 @@ class SimEngine {
   void schedule_at_tagged(Seconds at, const EventTag& tag, EventFn fn);
 
   /// The queue's checkpoint view: every pending event's (time, seq, tag),
-  /// sorted by the heap's own (time, seq) order so the serialized form is
-  /// canonical across heap layouts. Requires tags enabled and every
-  /// queued event tagged; throws std::logic_error when an untagged event
-  /// would make the snapshot unrestorable.
+  /// heap and lanes merged and sorted by (time, seq), so the serialized
+  /// form is canonical whatever the heap layout or lane split. Requires
+  /// tags enabled and every queued event tagged; throws std::logic_error
+  /// when an untagged event would make the snapshot unrestorable.
   std::vector<QueueEntry> snapshot_queue() const;
 
   /// Re-inserts one snapshot entry with `fn` as its callback, preserving
-  /// the exact original (time, seq). Restore-only: the caller owns
-  /// seq consistency and must set_next_seq() past every restored seq.
+  /// the exact original (time, seq). Restored entries go to the heap;
+  /// events scheduled after the restore refill the lanes. Restore-only:
+  /// the caller owns seq consistency and must set_next_seq() past every
+  /// restored seq.
   void restore_entry(const QueueEntry& entry, EventFn fn);
 
   /// The scheduling tie-break counter (seq of the NEXT scheduled event).
@@ -151,7 +182,9 @@ class SimEngine {
   /// Restore-only clock/counter surgery. set_now may move time backward
   /// (an empty post-restore engine starts at 0); the others overwrite the
   /// scheduling tie-break counter and the processed-event count so a
-  /// restored run continues the original numbering exactly.
+  /// restored run continues the original numbering exactly. A lane only
+  /// accepts an event that sorts after its tail, so surgery on a
+  /// non-empty engine sends out-of-order events to the heap instead.
   void set_now(Seconds t) { now_ = t; }
   void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
   void set_processed(std::uint64_t n) { processed_ = n; }
@@ -174,13 +207,32 @@ class SimEngine {
   /// the hot loop body behind the single `supervised_` branch.
   void after_event();
 
-  /// Inserts (at, seq, fn, tag) into a free pool slot and the heap.
-  void push_entry(Seconds at, std::uint64_t seq, EventFn fn,
-                  const EventTag& tag);
-  /// Pops the root entry, frees its pool slot, and returns the callback.
-  /// The slot is released *before* the caller invokes the callback, so
-  /// events scheduled from inside events reuse hot slots immediately.
-  EventFn pop_top(Seconds& top_time);
+  /// Rejects a non-finite or past `at` and an empty callback.
+  void check_schedule(Seconds at, const EventFn& fn) const;
+  /// Stores `fn` (and `tag`) in a free pool slot and returns the slot.
+  std::uint32_t store(EventFn&& fn, const EventTag& tag);
+  /// Numbers and queues a stored event due at `at` = now() + `delay`: in
+  /// the lane keyed by `delay`'s bits when one takes it, else in the heap.
+  void push_delayed(Seconds at, Seconds delay, std::uint32_t slot);
+  /// The lane keyed by `bits`, opening (or re-keying a drained) one when
+  /// `bits` has been seen before; kLanes when the event belongs in the heap.
+  std::size_t lane_for(std::uint64_t bits);
+  /// Appends to a lane; false (nothing queued) if the entry would not
+  /// sort after the lane's tail.
+  bool lane_push(std::size_t lane, Seconds at, std::uint64_t seq,
+                 std::uint32_t slot);
+  void heap_push(Seconds at, std::uint64_t seq, std::uint32_t slot);
+  /// The source holding the least (time, seq): a lane index, or kLanes for
+  /// the heap root. Requires pending() > 0.
+  std::size_t next_source() const;
+  Seconds head_time(std::size_t source) const {
+    return source == kLanes ? times_[kRoot] : lane_head_time_[source];
+  }
+  /// Pops the head of `source`, frees its pool slot, and returns the
+  /// callback. The slot is released *before* the caller invokes the
+  /// callback, so events scheduled from inside events reuse hot slots
+  /// immediately.
+  EventFn pop_from(std::size_t source, Seconds& top_time);
   void sift_up(std::size_t i, Seconds time, Meta m);
   void sift_down_from_root(Seconds time, Meta m);
 
@@ -196,6 +248,37 @@ class SimEngine {
   /// then kept in lockstep with pool_, so every queued slot has the tag
   /// of its current occupant).
   std::vector<EventTag> tags_;
+
+  /// One lane entry; a lane's ring holds them in (time, seq) order.
+  struct LaneEntry {
+    Seconds time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// A FIFO ring (power-of-two capacity) of one lane's entries.
+  struct Lane {
+    std::vector<LaneEntry> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+  };
+  /// Marks an unused key slot; never a valid delay, since non-finite
+  /// delays are rejected before they reach a lane.
+  static constexpr std::uint64_t kNoKey = 0x7FF0000000000000ull;  // +inf
+  static constexpr std::size_t kSeenSlots = 64;
+  // The pop scan reads only these two arrays: an empty lane's head is
+  // (+inf, max seq), which never beats a real (finite) entry.
+  std::array<Seconds, kLanes> lane_head_time_;
+  std::array<std::uint64_t, kLanes> lane_head_seq_;
+  /// Delay bit pattern per lane; lanes [0, lanes_open_) are keyed.
+  std::array<std::uint64_t, kLanes> lane_key_;
+  std::array<Lane, kLanes> lanes_;
+  std::size_t lanes_open_ = 0;
+  std::size_t lane_pending_ = 0;
+  /// Direct-mapped memory of recently scheduled delay bit patterns: a
+  /// delay opens a lane only when it hits here, so a random delay (which
+  /// never repeats bit for bit) never occupies one.
+  std::array<std::uint64_t, kSeenSlots> seen_;
+
   bool tags_enabled_ = false;
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -17,6 +17,7 @@
 // intentional, documented semantics change in both.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -44,6 +45,9 @@ class ReferenceEngine {
   }
 
   void schedule_at(Seconds at, EventFn fn) {
+    if (!std::isfinite(at)) {
+      throw std::invalid_argument("ReferenceEngine: non-finite event time");
+    }
     if (at < now_) {
       throw std::invalid_argument("ReferenceEngine: scheduling into the past");
     }

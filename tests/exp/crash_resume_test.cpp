@@ -4,7 +4,8 @@
 // crash case -- SIGKILL cannot be caught, so everything rides on the
 // fsync-per-record journal and the torn-line-tolerant loader.
 //
-// The binary path comes from CMake as COOPNET_RUN_BIN.
+// The binary paths come from CMake as COOPNET_RUN_BIN and
+// EXT_PROPSHARE_BIN.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
@@ -184,6 +185,26 @@ TEST(CoopnetRunCli, RejectsTheRemovedThreadsFlagAndPointsToJobs) {
   const std::string message = read_file(err);
   EXPECT_NE(message.find("--threads was removed"), std::string::npos)
       << message;
+  EXPECT_NE(message.find("--jobs"), std::string::npos) << message;
+
+  std::remove(err.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// The extension benches share bench::scenario_from_cli, which throws on
+// a bad flag; they must report it and exit 1 rather than abort on an
+// uncaught exception.
+TEST(ExtBenchCli, RejectsTheRemovedThreadsFlagWithExitOne) {
+  char tmpl[] = "/tmp/coopnet_ext_threads_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string err = dir + "/stderr.txt";
+
+  EXPECT_EQ(run_and_wait({EXT_PROPSHARE_BIN, "--n", "20", "--threads", "4"},
+                         err),
+            1);
+  const std::string message = read_file(err);
+  EXPECT_NE(message.find("ext_propshare: "), std::string::npos) << message;
   EXPECT_NE(message.find("--jobs"), std::string::npos) << message;
 
   std::remove(err.c_str());
